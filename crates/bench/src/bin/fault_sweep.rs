@@ -1,22 +1,30 @@
 //! Fault-injection sweep: checkpoint interval × fault onset time.
 //!
 //! Every point injects the same mid-run fault into a checkpointed run and
-//! lets two supervisors handle the identical incident:
+//! lets two supervisors handle the identical incident, both running the
+//! one abort → scan → exclude → rerun workflow
+//! ([`hplai_core::RecoveryPolicy::Rerun`]) and differing only in where the
+//! rerun starts ([`hplai_core::Resume`]):
 //!
-//! * **restart** — [`hplai_core::RecoveryPolicy::RestartFromCheckpoint`]:
-//!   abort, scan, exclude, then resume from the last panel-boundary
-//!   snapshot written before the abort;
-//! * **rerun** — [`hplai_core::RecoveryPolicy::AbortAndRerun`]: the §VI-B
-//!   workflow, which throws the aborted prefix away and restarts from
-//!   scratch.
+//! * **restart** — resume from the last panel-boundary snapshot written
+//!   before the abort (`Resume::Checkpoint`, or `Resume::Elastic` for the
+//!   elastic point);
+//! * **rerun** — the §VI-B workflow as the paper ran it, which throws the
+//!   aborted prefix away and starts from scratch (`Resume::Scratch`).
 //!
-//! Both campaigns are charged their full simulated cost (truncated
-//! attempts, the fleet scan, checkpoint I/O, and the final attempt), so
+//! Both campaigns are charged from the simulated rank clocks (aborted
+//! attempts up to the abort, checkpoint drains and writes included, the
+//! fleet scan, and the final attempt from where it resumed), so
 //! `benefit = rerun_cost / restart_cost` isolates exactly what restarting
-//! from a checkpoint saves. The trajectory is persisted to
-//! `BENCH_fault.json` at the repository root, and `--floor R` turns the
-//! sweep into a CI gate: every point that actually restarted from a
-//! snapshot must beat the full-rerun baseline by more than `R`.
+//! from a checkpoint saves, and neither campaign can cost less than the
+//! same checkpointed run with no fault: the sweep fails if a recovered
+//! point reports `restart_ratio` or `rerun_ratio` above 1.
+//! `ckpt_overhead` prices the insurance itself: the fault-free runtime
+//! with checkpointing over the fault-free runtime without it. The
+//! trajectory is persisted to `BENCH_fault.json` at the repository root,
+//! and `--floor R` turns the sweep into a CI gate: every point that
+//! actually restarted from a snapshot must beat the full-rerun baseline by
+//! more than `R`.
 //!
 //! ```text
 //! fault_sweep [--summit] [--floor R]
@@ -80,6 +88,9 @@ struct FaultPoint {
     benefit: f64,
     /// Whether both campaigns finished without a lingering termination.
     recovered: bool,
+    /// Fault-free runtime with checkpointing over the fault-free runtime
+    /// without it: what the checkpoints cost when nothing goes wrong.
+    ckpt_overhead: f64,
     /// Checkpoint bytes written by the restart campaign's final attempt.
     checkpoint_bytes: u64,
     /// Simulated seconds the final attempt spent writing checkpoints.
@@ -121,12 +132,15 @@ fn incident(
     elastic: bool,
 ) -> (FaultPoint, Vec<RunEvent>) {
     let dir = ckpt_dir(&format!("{series}-i{interval}-k{onset_k}"));
-    let build = |faults: FaultPlan| {
+    let config = |faults: FaultPlan| {
         RunConfig::timing(sys.clone(), grid, n, b)
             .algo(BcastAlgo::Lib)
             .backend(backend)
-            .checkpoint(CheckpointSpec::new(&dir, interval))
             .faults(faults)
+    };
+    let build = |faults: FaultPlan| {
+        config(faults)
+            .checkpoint(CheckpointSpec::new(&dir, interval))
             .build_or_panic()
     };
     let faults = FaultPlan::new().parse_spec(spec, 0).expect("valid spec");
@@ -140,6 +154,7 @@ fn incident(
     // numerator both cost-recovery ratios share.
     let baseline = run(&build(FaultPlan::new()));
     std::fs::remove_dir_all(&dir).ok();
+    let unprotected = run(&config(FaultPlan::new()).build_or_panic());
 
     let restarted_from_k = restart.events.iter().find_map(|e| match e {
         RunEvent::Restarted { from_k, .. } => Some(*from_k),
@@ -163,6 +178,7 @@ fn incident(
         rerun_ratio: cost_recovery_ratio(&rerun, &baseline),
         benefit: rerun.total_cost / restart.total_cost,
         recovered: restart.recovered && rerun.recovered,
+        ckpt_overhead: baseline.perf.runtime / unprotected.perf.runtime,
         checkpoint_bytes: restart.outcome.perf.checkpoint_bytes,
         checkpoint_time: restart.outcome.perf.checkpoint_time,
     };
@@ -281,6 +297,7 @@ fn main() {
             "restart cost",
             "rerun cost",
             "benefit",
+            "ckpt overhead",
             "recovered",
         ],
     );
@@ -296,13 +313,14 @@ fn main() {
             &secs(p.restart_cost),
             &secs(p.rerun_cost),
             &format!("{:.3}", p.benefit),
+            &format!("{:.3}", p.ckpt_overhead),
             &p.recovered,
         ]);
     }
     t.emit("fault_sweep");
 
     let report = Report {
-        schema: "fault-recovery-v1".into(),
+        schema: "fault-recovery-v2".into(),
         floor,
         points,
     };
@@ -313,6 +331,23 @@ fn main() {
     )
     .expect("write BENCH_fault.json");
     eprintln!("wrote {}", path.display());
+
+    // No recovered campaign may cost less than the same checkpointed run
+    // with no fault: a ratio above 1 means the ledger missed a cost.
+    let undercharged: Vec<&FaultPoint> = report
+        .points
+        .iter()
+        .filter(|p| p.recovered && (p.restart_ratio > 1.0 || p.rerun_ratio > 1.0))
+        .collect();
+    for p in &undercharged {
+        eprintln!(
+            "FAIL: {} {} interval {}: restart_ratio {:.3}, rerun_ratio {:.3} > 1",
+            p.series, p.fault, p.interval, p.restart_ratio, p.rerun_ratio
+        );
+    }
+    if !undercharged.is_empty() {
+        std::process::exit(1);
+    }
 
     if let Some(floor) = floor {
         // CI gate: every incident that resumed from a snapshot must beat

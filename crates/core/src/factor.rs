@@ -81,6 +81,11 @@ pub struct IterRecord {
     /// broadcast post and its join — the overlap the look-ahead pipeline
     /// actually earned (not additional busy time; never part of totals).
     pub hidden: f64,
+    /// This rank's simulated clock at the end of the iteration, seconds —
+    /// the same absolute clock checkpoint snapshots record, so it already
+    /// includes every checkpoint drained and written at a boundary `<= k`.
+    /// The supervisor charges an attempt aborted at `k` from it.
+    pub clock: f64,
 }
 
 /// Result of the factorization on one rank.
@@ -747,6 +752,7 @@ impl Stepper for FactorState<'_> {
         }
 
         rec.wait = ctx.wait_total() - wait_at_start;
+        rec.clock = ctx.now();
         records.push(rec);
         self.k = k + 1;
     }

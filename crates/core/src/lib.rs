@@ -97,6 +97,7 @@ pub use solve::{
     CkptMeter, ConfigError, RunConfig, RunConfigBuilder, RunOutcome, Stepper,
 };
 pub use supervisor::{
-    cost_recovery_ratio, recovery_ratio, RecoveryPolicy, RunEvent, SupervisedOutcome, Supervisor,
+    cost_recovery_ratio, recovery_ratio, RecoveryPolicy, Resume, RunEvent, SupervisedOutcome,
+    Supervisor,
 };
 pub use systems::{frontier, summit, testbed, SystemSpec};

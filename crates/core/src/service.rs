@@ -144,7 +144,9 @@ impl JobRecord {
         for records in &out.records {
             for r in records {
                 fnv(&mut h, &r.k.to_le_bytes());
-                for v in [r.getrf, r.trsm, r.cast, r.gemm, r.bcast, r.wait, r.hidden] {
+                for v in [
+                    r.getrf, r.trsm, r.cast, r.gemm, r.bcast, r.wait, r.hidden, r.clock,
+                ] {
                     fnv(&mut h, &v.to_bits().to_le_bytes());
                 }
             }

@@ -10,17 +10,23 @@
 //!    through the [`ProgressMonitor`];
 //! 2. convert anomalies into typed [`RunEvent`]s (serializable to a JSONL
 //!    event log via [`crate::trace::event_log_jsonl`]);
-//! 3. apply the configured [`RecoveryPolicy`]: abort-and-rerun with slow
-//!    GCDs excluded (driving the [`crate::scan`] mini-benchmark), retry
-//!    with backoff, or accept graceful degradation.
+//! 3. apply the configured [`RecoveryPolicy`]: report only, or abort, scan
+//!    the fleet with the [`crate::scan`] mini-benchmark, exclude the slow
+//!    GCDs and rerun — from scratch, from the last panel-boundary
+//!    checkpoint, or re-gridded onto the survivors ([`Resume`]).
 //!
-//! Because runs are simulated, "aborting" truncates the already-computed
-//! record stream at the termination iteration and charges only the
-//! truncated cost — exactly the time a real early termination would have
-//! saved.
+//! Every attempt is charged from the simulated rank clocks. Because runs
+//! are simulated, "aborting" cuts the already-computed run at the
+//! termination iteration: the attempt costs its slowest rank's clock at
+//! the end of that iteration ([`IterRecord::clock`], checkpoint drains and
+//! writes included) — exactly the time a real early termination would
+//! have spent. An attempt that runs to the end costs its runtime. An
+//! attempt resumed from a snapshot starts at the snapshot's clock, which
+//! the aborted attempt before it already paid for, so that clock is
+//! subtracted.
 
-use crate::checkpoint::{latest_in, Snapshot};
-use crate::factor::regrid_snapshot;
+use crate::checkpoint::{latest_in, Snapshot, SnapshotError};
+use crate::factor::{regrid_snapshot, IterRecord};
 use crate::grid::ProcessGrid;
 use crate::progress::ProgressMonitor;
 use crate::report::PerfReport;
@@ -34,50 +40,42 @@ use std::sync::Arc;
 /// What the supervisor does when the monitor demands termination.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum RecoveryPolicy {
-    /// Log events only; never intervene (the monitoring-only baseline).
+    /// Log events only; never rerun (the monitoring-only baseline).
     Report,
     /// Abort, scan the fleet with the mini-benchmark, exclude GCDs slower
     /// than `scan_threshold` × median, and rerun (at most `max_reruns`
-    /// times) — the paper's slow-node workflow, automated.
-    AbortAndRerun {
+    /// times) — the paper's slow-node workflow, automated. Gives up when
+    /// the scan flags nobody (e.g. a pure link fault: rerunning the same
+    /// job cannot help).
+    Rerun {
         /// Relative-to-median gate of the post-incident scan (e.g. 1.15).
         scan_threshold: f64,
         /// Maximum rerun attempts before giving up.
         max_reruns: usize,
+        /// Where each rerun starts.
+        resume: Resume,
     },
-    /// Abort, scan and exclude slow GCDs as in
-    /// [`RecoveryPolicy::AbortAndRerun`], but resume the rerun from the
-    /// last panel-boundary checkpoint written before the abort instead of
-    /// restarting from scratch. Requires the run to be configured with
-    /// [`crate::solve::RunConfigBuilder::checkpoint`]; when no loadable
-    /// snapshot exists (none written yet, or the file is corrupt) the
-    /// rerun falls back to a full restart and says so in the event log.
-    RestartFromCheckpoint {
-        /// Relative-to-median gate of the post-incident scan (e.g. 1.15).
-        scan_threshold: f64,
-        /// Maximum restart attempts before giving up.
-        max_restarts: usize,
-        /// Re-grid the survivors instead of swapping in spares: the
-        /// faulted rank's process-grid column is dropped, the checkpointed
-        /// tiles are re-dealt block-cyclically onto the shrunken grid
-        /// ([`regrid_snapshot`]), and the run finishes on what is left.
-        /// Falls back to a same-grid restart when the new grid cannot hold
-        /// the matrix (block-divisibility) or the grid has a single
-        /// column.
-        elastic: bool,
-    },
-    /// Abort and resubmit the identical job after a backoff, hoping the
-    /// fault was transient (at most `max_retries` times).
-    RetryWithBackoff {
-        /// Maximum resubmissions.
-        max_retries: usize,
-        /// Simulated seconds of queue backoff before the first retry;
-        /// doubles each attempt.
-        backoff: f64,
-    },
-    /// Accept the degraded run and report it (the "finish the campaign
-    /// anyway" choice).
-    GracefulDegradation,
+}
+
+/// Where a [`RecoveryPolicy::Rerun`] attempt starts.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Resume {
+    /// From panel 0: the aborted prefix is thrown away.
+    Scratch,
+    /// From the newest panel-boundary checkpoint at or before the abort,
+    /// with the flagged GCDs swapped for spares. Requires the run to be
+    /// configured with [`crate::solve::RunConfigBuilder::checkpoint`];
+    /// when no loadable snapshot exists (none written yet, or the file is
+    /// corrupt) the rerun starts from scratch and says so in the event log.
+    Checkpoint,
+    /// As [`Resume::Checkpoint`], but re-grid the survivors instead of
+    /// swapping in spares: the faulted rank's process-grid column is
+    /// dropped, the checkpointed tiles are re-dealt block-cyclically onto
+    /// the shrunken grid ([`regrid_snapshot`]), and the run finishes on
+    /// what is left. Falls back to a same-grid restart when the new grid
+    /// cannot hold the matrix (block divisibility) or the grid has a
+    /// single column.
+    Elastic,
 }
 
 /// One typed entry of the supervision event log.
@@ -156,20 +154,6 @@ pub enum RunEvent {
         /// elastic re-grid).
         ranks: usize,
     },
-    /// The identical job was resubmitted after a backoff.
-    Retried {
-        /// The new attempt number.
-        attempt: usize,
-        /// Simulated queue backoff charged, seconds.
-        backoff: f64,
-    },
-    /// The degraded run was accepted as-is.
-    Degraded {
-        /// The accepted attempt.
-        attempt: usize,
-        /// Achieved GFLOPS per GCD.
-        gflops_per_gcd: f64,
-    },
     /// An attempt ran to completion.
     RunCompleted {
         /// The completed attempt.
@@ -198,8 +182,6 @@ impl RunEvent {
             RunEvent::CheckpointLoaded { .. } => "checkpoint_loaded",
             RunEvent::CheckpointRejected { .. } => "checkpoint_rejected",
             RunEvent::Restarted { .. } => "restarted",
-            RunEvent::Retried { .. } => "retried",
-            RunEvent::Degraded { .. } => "degraded",
             RunEvent::RunCompleted { .. } => "run_completed",
             RunEvent::GaveUp { .. } => "gave_up",
         }
@@ -253,18 +235,6 @@ impl Serialize for RunEvent {
                     ",\"attempt\":{attempt},\"from_k\":{from_k},\"ranks\":{ranks}"
                 );
             }
-            RunEvent::Retried { attempt, backoff } => {
-                let _ = write!(out, ",\"attempt\":{attempt},\"backoff\":{backoff}");
-            }
-            RunEvent::Degraded {
-                attempt,
-                gflops_per_gcd,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"attempt\":{attempt},\"gflops_per_gcd\":{gflops_per_gcd}"
-                );
-            }
             RunEvent::RunCompleted {
                 attempt,
                 perf,
@@ -294,8 +264,9 @@ pub struct SupervisedOutcome {
     /// Iteration of the first alert of the first attempt, if any — the
     /// detection latency input of the fault sweep.
     pub detection_iter: Option<usize>,
-    /// Total simulated cost across attempts, seconds: terminated attempts
-    /// charge only their truncated prefix plus any retry backoff.
+    /// Total simulated cost across attempts, seconds, charged from the
+    /// rank clocks: every attempt from where it started to where it was
+    /// aborted or finished, plus every fleet scan.
     pub total_cost: f64,
     /// `true` if the final attempt finished without an early termination.
     pub recovered: bool,
@@ -310,14 +281,6 @@ pub struct Supervisor {
     pub policy: RecoveryPolicy,
 }
 
-/// Alerts of one attempt, merged across ranks and sorted by iteration.
-struct Analysis {
-    alerts: Vec<RunEvent>,
-    terminate: bool,
-    /// Iteration the run would have been terminated at.
-    abort_k: usize,
-}
-
 impl Supervisor {
     /// A monitoring-only supervisor with default thresholds.
     pub fn reporting() -> Self {
@@ -328,32 +291,42 @@ impl Supervisor {
     }
 
     /// A supervisor with the paper's operational workflow: early
-    /// termination, fleet scan, exclusion, rerun.
+    /// termination, fleet scan, exclusion, rerun from scratch.
     pub fn with_rerun(scan_threshold: f64, max_reruns: usize) -> Self {
-        Supervisor {
-            monitor: ProgressMonitor::default(),
-            policy: RecoveryPolicy::AbortAndRerun {
-                scan_threshold,
-                max_reruns,
-            },
-        }
+        Self::rerunning(scan_threshold, max_reruns, Resume::Scratch)
     }
 
     /// A supervisor that recovers by resuming from the last panel-boundary
     /// checkpoint (the resilience workflow; set `elastic` to finish on the
     /// surviving ranks instead of swapping in spares).
     pub fn with_restart(scan_threshold: f64, max_restarts: usize, elastic: bool) -> Self {
+        let resume = if elastic {
+            Resume::Elastic
+        } else {
+            Resume::Checkpoint
+        };
+        Self::rerunning(scan_threshold, max_restarts, resume)
+    }
+
+    fn rerunning(scan_threshold: f64, max_reruns: usize, resume: Resume) -> Self {
         Supervisor {
             monitor: ProgressMonitor::default(),
-            policy: RecoveryPolicy::RestartFromCheckpoint {
+            policy: RecoveryPolicy::Rerun {
                 scan_threshold,
-                max_restarts,
-                elastic,
+                max_reruns,
+                resume,
             },
         }
     }
 
-    fn analyze(&self, cfg: &RunConfig, out: &RunOutcome, attempt: usize) -> Analysis {
+    /// Every rank's alerts, merged and sorted by iteration, and the
+    /// iteration the run is cut at if the alert budget was exhausted.
+    fn analyze(
+        &self,
+        cfg: &RunConfig,
+        out: &RunOutcome,
+        attempt: usize,
+    ) -> (Vec<RunEvent>, Option<usize>) {
         let dev = &cfg.sys.gcd;
         let mut alerts: Vec<(usize, RunEvent)> = Vec::new();
         let mut terminate = false;
@@ -377,32 +350,9 @@ impl Supervisor {
             }
         }
         alerts.sort_by_key(|(k, _)| *k);
-        // The run is cut at the iteration the alert budget was exhausted.
-        let abort_k = if terminate && alerts.len() >= self.monitor.max_alerts {
-            alerts[self.monitor.max_alerts - 1].0
-        } else {
-            cfg.n / cfg.b
-        };
-        Analysis {
-            alerts: alerts.into_iter().map(|(_, e)| e).collect(),
-            terminate,
-            abort_k,
-        }
-    }
-
-    /// Simulated cost of an attempt terminated at iteration `abort_k`: the
-    /// slowest rank's accounted time over the truncated record prefix.
-    fn truncated_cost(out: &RunOutcome, abort_k: usize) -> f64 {
-        out.records
-            .iter()
-            .map(|records| {
-                records
-                    .iter()
-                    .filter(|r| r.k <= abort_k)
-                    .map(|r| r.getrf + r.trsm + r.cast + r.gemm + r.wait)
-                    .sum::<f64>()
-            })
-            .fold(0.0, f64::max)
+        let budget = self.monitor.max_alerts.saturating_sub(1);
+        let abort_k = terminate.then(|| alerts.get(budget).map_or(0, |(k, _)| *k));
+        (alerts.into_iter().map(|(_, e)| e).collect(), abort_k)
     }
 
     /// Runs `cfg` under supervision, applying the recovery policy on
@@ -414,330 +364,214 @@ impl Supervisor {
         let mut attempt = 1;
         let mut total_cost = 0.0;
         let mut detection_iter = None;
-        // Simulated clock a restarted attempt resumes at: its completed
-        // runtime *includes* the restored pre-checkpoint clock, which the
-        // aborted attempt already paid for, so only the tail is charged.
-        let mut restart_offset = 0.0;
-        let mut backoff = match self.policy {
-            RecoveryPolicy::RetryWithBackoff { backoff, .. } => backoff,
-            _ => 0.0,
-        };
-        loop {
+        let (outcome, recovered) = loop {
             events.push(RunEvent::RunStarted {
                 attempt,
                 n: cfg.n,
                 ranks: cfg.grid.size(),
             });
             let out = run(&cfg);
-            let analysis = self.analyze(&cfg, &out, attempt);
+            let (alerts, abort_k) = self.analyze(&cfg, &out, attempt);
             if detection_iter.is_none() {
-                if let Some(RunEvent::Alert { k, .. }) = analysis.alerts.first() {
+                if let Some(RunEvent::Alert { k, .. }) = alerts.first() {
                     detection_iter = Some(*k);
                 }
             }
-            events.extend(analysis.alerts.iter().cloned());
-
-            if !analysis.terminate {
-                total_cost += out.perf.runtime - restart_offset;
-                events.push(RunEvent::RunCompleted {
-                    attempt,
-                    perf: out.perf.without_host_timing(),
-                    converged: out.converged,
-                });
-                return SupervisedOutcome {
-                    events,
-                    outcome: out,
-                    attempts: attempt,
-                    detection_iter,
-                    total_cost,
-                    recovered: true,
-                };
-            }
-
-            // Early termination: charge only the truncated prefix.
-            total_cost += Self::truncated_cost(&out, analysis.abort_k);
+            events.extend(alerts);
+            // A resumed attempt starts at its snapshot's clock, which the
+            // aborted attempt before it already paid for.
+            let start = cfg.restart.as_ref().map_or(0.0, |s| s.max_clock());
+            let Some(abort_k) = abort_k else {
+                total_cost += out.perf.runtime - start;
+                events.push(completed(attempt, &out));
+                break (out, true);
+            };
+            total_cost += clock_at(&out.records, abort_k) - start;
             events.push(RunEvent::EarlyTermination {
                 attempt,
-                k: analysis.abort_k,
+                k: abort_k,
                 alerts: events
                     .iter()
                     .filter(|e| matches!(e, RunEvent::Alert { .. }))
                     .count(),
             });
-
-            match self.policy {
-                RecoveryPolicy::Report => {
-                    // No intervention: report the degraded run as final.
-                    events.push(RunEvent::RunCompleted {
-                        attempt,
-                        perf: out.perf.without_host_timing(),
-                        converged: out.converged,
-                    });
-                    return SupervisedOutcome {
-                        events,
-                        outcome: out,
-                        attempts: attempt,
-                        detection_iter,
-                        total_cost,
-                        recovered: false,
-                    };
-                }
-                RecoveryPolicy::GracefulDegradation => {
-                    total_cost += out.perf.runtime - Self::truncated_cost(&out, analysis.abort_k);
-                    events.push(RunEvent::Degraded {
-                        attempt,
-                        gflops_per_gcd: out.perf.gflops_per_gcd,
-                    });
-                    events.push(RunEvent::RunCompleted {
-                        attempt,
-                        perf: out.perf.without_host_timing(),
-                        converged: out.converged,
-                    });
-                    return SupervisedOutcome {
-                        events,
-                        outcome: out,
-                        attempts: attempt,
-                        detection_iter,
-                        total_cost,
-                        recovered: false,
-                    };
-                }
-                RecoveryPolicy::AbortAndRerun {
-                    scan_threshold,
-                    max_reruns,
-                } => {
-                    if attempt > max_reruns {
-                        events.push(RunEvent::GaveUp { attempts: attempt });
-                        return SupervisedOutcome {
-                            events,
-                            outcome: out,
-                            attempts: attempt,
-                            detection_iter,
-                            total_cost,
-                            recovered: false,
-                        };
-                    }
-                    // Post-incident scan on the *effective* fleet: base
-                    // multipliers with fault factors as of the abort.
-                    let effective = cfg.faults.effective_fleet(
-                        cfg.fleet.as_ref(),
-                        cfg.grid.size(),
-                        analysis.abort_k,
-                    );
-                    let scan =
-                        scan_fleet(&cfg.sys.gcd, &effective, 8 * cfg.b, cfg.b, scan_threshold);
-                    total_cost += scan.median_time;
-                    events.push(RunEvent::ScanCompleted {
-                        attempt,
-                        flagged: scan.slow.clone(),
-                    });
-                    if scan.slow.is_empty() {
-                        // Nothing to exclude (e.g. a pure link fault):
-                        // rerunning the same job cannot help.
-                        events.push(RunEvent::GaveUp { attempts: attempt });
-                        return SupervisedOutcome {
-                            events,
-                            outcome: out,
-                            attempts: attempt,
-                            detection_iter,
-                            total_cost,
-                            recovered: false,
-                        };
-                    }
-                    let base = cfg
-                        .fleet
-                        .clone()
-                        .unwrap_or_else(|| GcdFleet::uniform(cfg.grid.size()));
-                    cfg.fleet = Some(base.replacing(&scan.slow));
-                    cfg.faults = cfg.faults.without_gcds(&scan.slow);
-                    events.push(RunEvent::Excluded {
-                        attempt,
-                        gcds: scan.slow,
-                    });
-                    attempt += 1;
-                }
-                RecoveryPolicy::RestartFromCheckpoint {
-                    scan_threshold,
-                    max_restarts,
-                    elastic,
-                } => {
-                    if attempt > max_restarts {
-                        events.push(RunEvent::GaveUp { attempts: attempt });
-                        return SupervisedOutcome {
-                            events,
-                            outcome: out,
-                            attempts: attempt,
-                            detection_iter,
-                            total_cost,
-                            recovered: false,
-                        };
-                    }
-                    // Scan and identify the sick hardware, exactly as the
-                    // full-rerun workflow does.
-                    let effective = cfg.faults.effective_fleet(
-                        cfg.fleet.as_ref(),
-                        cfg.grid.size(),
-                        analysis.abort_k,
-                    );
-                    let scan =
-                        scan_fleet(&cfg.sys.gcd, &effective, 8 * cfg.b, cfg.b, scan_threshold);
-                    total_cost += scan.median_time;
-                    events.push(RunEvent::ScanCompleted {
-                        attempt,
-                        flagged: scan.slow.clone(),
-                    });
-                    if scan.slow.is_empty() {
-                        events.push(RunEvent::GaveUp { attempts: attempt });
-                        return SupervisedOutcome {
-                            events,
-                            outcome: out,
-                            attempts: attempt,
-                            detection_iter,
-                            total_cost,
-                            recovered: false,
-                        };
-                    }
-
-                    // Locate the newest snapshot taken before the abort —
-                    // faults are virtual, so files written *after* the
-                    // fault bit also sit on disk and must be skipped.
-                    restart_offset = 0.0;
-                    cfg.restart = None;
-                    let located = cfg
-                        .checkpoint
-                        .as_ref()
-                        .and_then(|spec| latest_in(&spec.dir, analysis.abort_k))
-                        .map(|path| (Snapshot::load(&path), path));
-                    let mut snap = match located {
-                        Some((Ok(s), path)) => {
-                            events.push(RunEvent::CheckpointLoaded {
-                                attempt,
-                                k: s.header.k as usize,
-                                path: path.display().to_string(),
-                            });
-                            Some(s)
-                        }
-                        Some((Err(e), path)) => {
-                            events.push(RunEvent::CheckpointRejected {
-                                attempt,
-                                reason: format!("{}: {e}", path.display()),
-                            });
-                            None
-                        }
-                        None => {
-                            events.push(RunEvent::CheckpointRejected {
-                                attempt,
-                                reason: "no checkpoint on disk before the abort".into(),
-                            });
-                            None
-                        }
-                    };
-
-                    let mut regridded = false;
-                    if elastic {
-                        if let Some(s) = snap.take() {
-                            // Drop the faulted rank's process-grid column
-                            // and re-deal the checkpointed tiles onto the
-                            // survivors.
-                            let fail_col = cfg.grid.coord_of(scan.slow[0]).1;
-                            let attempt_regrid = if cfg.grid.p_c > 1 {
-                                let new_size = cfg.grid.p_r * (cfg.grid.p_c - 1);
-                                let q = cfg.grid.gcds_per_node();
-                                let q2 = if q > 0 && new_size.is_multiple_of(q) {
-                                    q
-                                } else {
-                                    1
-                                };
-                                let new_grid =
-                                    ProcessGrid::col_major(cfg.grid.p_r, cfg.grid.p_c - 1, q2);
-                                regrid_snapshot(&s, &cfg.grid, &new_grid).map(|rs| (rs, new_grid))
-                            } else {
-                                Err(crate::checkpoint::SnapshotError::ConfigMismatch(
-                                    "single-column grid",
-                                ))
-                            };
-                            match attempt_regrid {
-                                Ok((rs, new_grid)) => {
-                                    let dropped: Vec<usize> = (0..cfg.grid.size())
-                                        .filter(|&r| cfg.grid.coord_of(r).1 == fail_col)
-                                        .collect();
-                                    cfg.faults = cfg.faults.without_gcds(&dropped);
-                                    events.push(RunEvent::Excluded {
-                                        attempt,
-                                        gcds: dropped,
-                                    });
-                                    cfg.grid = new_grid;
-                                    cfg.fleet = None;
-                                    restart_offset = rs.max_clock();
-                                    let from_k = rs.header.k as usize;
-                                    cfg.restart = Some(Arc::new(rs));
-                                    events.push(RunEvent::Restarted {
-                                        attempt: attempt + 1,
-                                        from_k,
-                                        ranks: cfg.grid.size(),
-                                    });
-                                    regridded = true;
-                                }
-                                Err(e) => {
-                                    events.push(RunEvent::CheckpointRejected {
-                                        attempt,
-                                        reason: format!(
-                                            "elastic re-grid infeasible ({e}); same-grid restart"
-                                        ),
-                                    });
-                                    snap = Some(s);
-                                }
-                            }
-                        }
-                    }
-
-                    if !regridded {
-                        // Same-grid restart: swap the slow GCDs for spares
-                        // (the full-rerun exclusion), then resume from the
-                        // snapshot if one survived validation.
-                        let base = cfg
-                            .fleet
-                            .clone()
-                            .unwrap_or_else(|| GcdFleet::uniform(cfg.grid.size()));
-                        cfg.fleet = Some(base.replacing(&scan.slow));
-                        cfg.faults = cfg.faults.without_gcds(&scan.slow);
-                        events.push(RunEvent::Excluded {
-                            attempt,
-                            gcds: scan.slow,
-                        });
-                        if let Some(s) = snap {
-                            restart_offset = s.max_clock();
-                            let from_k = s.header.k as usize;
-                            cfg.restart = Some(Arc::new(s));
-                            events.push(RunEvent::Restarted {
-                                attempt: attempt + 1,
-                                from_k,
-                                ranks: cfg.grid.size(),
-                            });
-                        }
-                    }
-                    attempt += 1;
-                }
-                RecoveryPolicy::RetryWithBackoff { max_retries, .. } => {
-                    if attempt > max_retries {
-                        events.push(RunEvent::GaveUp { attempts: attempt });
-                        return SupervisedOutcome {
-                            events,
-                            outcome: out,
-                            attempts: attempt,
-                            detection_iter,
-                            total_cost,
-                            recovered: false,
-                        };
-                    }
-                    total_cost += backoff;
-                    attempt += 1;
-                    events.push(RunEvent::Retried { attempt, backoff });
-                    backoff *= 2.0;
-                }
+            let RecoveryPolicy::Rerun {
+                scan_threshold,
+                max_reruns,
+                resume,
+            } = self.policy
+            else {
+                // No intervention: report the degraded run as final.
+                events.push(completed(attempt, &out));
+                break (out, false);
+            };
+            if attempt > max_reruns {
+                events.push(RunEvent::GaveUp { attempts: attempt });
+                break (out, false);
             }
+            // Post-incident scan on the *effective* fleet: base
+            // multipliers with fault factors as of the abort.
+            let effective =
+                cfg.faults
+                    .effective_fleet(cfg.fleet.as_ref(), cfg.grid.size(), abort_k);
+            let scan = scan_fleet(&cfg.sys.gcd, &effective, 8 * cfg.b, cfg.b, scan_threshold);
+            total_cost += scan.median_time;
+            events.push(RunEvent::ScanCompleted {
+                attempt,
+                flagged: scan.slow.clone(),
+            });
+            if scan.slow.is_empty() {
+                events.push(RunEvent::GaveUp { attempts: attempt });
+                break (out, false);
+            }
+            prepare_rerun(&mut cfg, resume, scan.slow, abort_k, attempt, &mut events);
+            attempt += 1;
+        };
+        SupervisedOutcome {
+            events,
+            outcome,
+            attempts: attempt,
+            detection_iter,
+            total_cost,
+            recovered,
         }
     }
+}
+
+fn completed(attempt: usize, out: &RunOutcome) -> RunEvent {
+    RunEvent::RunCompleted {
+        attempt,
+        perf: out.perf.without_host_timing(),
+        converged: out.converged,
+    }
+}
+
+/// The slowest rank's clock at the end of iteration `k`: what an attempt
+/// cut there has spent.
+fn clock_at(records: &[Vec<IterRecord>], k: usize) -> f64 {
+    records
+        .iter()
+        .filter_map(|rank| rank.iter().find(|r| r.k == k))
+        .map(|r| r.clock)
+        .fold(0.0, f64::max)
+}
+
+/// Reconfigures `cfg` for the rerun after the scan flagged `slow`: loads
+/// the snapshot to resume from (unless `resume` is [`Resume::Scratch`]),
+/// re-grids it onto the survivors for [`Resume::Elastic`], and otherwise
+/// swaps the flagged GCDs for healthy spares.
+fn prepare_rerun(
+    cfg: &mut RunConfig,
+    resume: Resume,
+    slow: Vec<usize>,
+    abort_k: usize,
+    attempt: usize,
+    events: &mut Vec<RunEvent>,
+) {
+    cfg.restart = None;
+    let mut snap = match resume {
+        Resume::Scratch => None,
+        Resume::Checkpoint | Resume::Elastic => load_snapshot(cfg, abort_k, attempt, events),
+    };
+    let mut excluded = slow;
+    let regrid = match (resume, &snap) {
+        (Resume::Elastic, Some(s)) => Some(shrink(&cfg.grid, s)),
+        _ => None,
+    };
+    match regrid {
+        Some(Ok((regridded, grid))) => {
+            // The faulted rank's whole process-grid column leaves.
+            let col = cfg.grid.coord_of(excluded[0]).1;
+            excluded = (0..cfg.grid.size())
+                .filter(|&r| cfg.grid.coord_of(r).1 == col)
+                .collect();
+            cfg.grid = grid;
+            cfg.fleet = None;
+            snap = Some(regridded);
+        }
+        infeasible => {
+            if let Some(Err(e)) = infeasible {
+                events.push(RunEvent::CheckpointRejected {
+                    attempt,
+                    reason: format!("elastic re-grid infeasible ({e}); same-grid restart"),
+                });
+            }
+            let base = cfg
+                .fleet
+                .clone()
+                .unwrap_or_else(|| GcdFleet::uniform(cfg.grid.size()));
+            cfg.fleet = Some(base.replacing(&excluded));
+        }
+    }
+    cfg.faults = cfg.faults.without_gcds(&excluded);
+    events.push(RunEvent::Excluded {
+        attempt,
+        gcds: excluded,
+    });
+    if let Some(s) = snap {
+        events.push(RunEvent::Restarted {
+            attempt: attempt + 1,
+            from_k: s.header.k as usize,
+            ranks: cfg.grid.size(),
+        });
+        cfg.restart = Some(Arc::new(s));
+    }
+}
+
+/// The newest snapshot at or before the abort — faults are virtual, so
+/// files written *after* the fault bit also sit on disk and must be
+/// skipped. Logs whether it loaded, or why there is none.
+fn load_snapshot(
+    cfg: &RunConfig,
+    abort_k: usize,
+    attempt: usize,
+    events: &mut Vec<RunEvent>,
+) -> Option<Snapshot> {
+    let located = cfg
+        .checkpoint
+        .as_ref()
+        .and_then(|spec| latest_in(&spec.dir, abort_k));
+    let Some(path) = located else {
+        events.push(RunEvent::CheckpointRejected {
+            attempt,
+            reason: "no checkpoint on disk before the abort".into(),
+        });
+        return None;
+    };
+    match Snapshot::load(&path) {
+        Ok(s) => {
+            events.push(RunEvent::CheckpointLoaded {
+                attempt,
+                k: s.header.k as usize,
+                path: path.display().to_string(),
+            });
+            Some(s)
+        }
+        Err(e) => {
+            events.push(RunEvent::CheckpointRejected {
+                attempt,
+                reason: format!("{}: {e}", path.display()),
+            });
+            None
+        }
+    }
+}
+
+/// The elastic re-grid: the snapshot re-dealt onto the grid with one
+/// process-grid column fewer.
+fn shrink(grid: &ProcessGrid, snap: &Snapshot) -> Result<(Snapshot, ProcessGrid), SnapshotError> {
+    if grid.p_c < 2 {
+        return Err(SnapshotError::ConfigMismatch("single-column grid"));
+    }
+    let size = grid.p_r * (grid.p_c - 1);
+    let q = grid.gcds_per_node();
+    let q = if q > 0 && size.is_multiple_of(q) {
+        q
+    } else {
+        1
+    };
+    let new_grid = ProcessGrid::col_major(grid.p_r, grid.p_c - 1, q);
+    Ok((regrid_snapshot(snap, grid, &new_grid)?, new_grid))
 }
 
 /// Convenience: what fraction of the fault-free baseline the supervised
@@ -747,11 +581,12 @@ pub fn recovery_ratio(supervised: &SupervisedOutcome, baseline: &RunOutcome) -> 
 }
 
 /// Cost-based recovery ratio: the fault-free baseline runtime divided by
-/// everything the supervised campaign actually spent — truncated attempts,
-/// scans, backoffs, and restarted tails. `1.0` means the incident was free;
-/// a checkpoint restart must score strictly above a full rerun of the same
-/// incident because its final attempt pays only for the panels after the
-/// snapshot.
+/// everything the supervised campaign actually spent — aborted attempts,
+/// scans, and resumed tails. `1.0` means the incident was free; against
+/// a baseline of the same checkpoint-configured run a recovered campaign
+/// never scores above 1 (it cannot cost less than the run with no fault),
+/// and a checkpoint restart scores above a full rerun of the same incident
+/// because its final attempt pays only for the panels after the snapshot.
 pub fn cost_recovery_ratio(supervised: &SupervisedOutcome, baseline: &RunOutcome) -> f64 {
     baseline.perf.runtime / supervised.total_cost
 }
@@ -821,41 +656,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn graceful_degradation_accepts_the_run() {
-        let sup = Supervisor {
-            monitor: ProgressMonitor::default(),
-            policy: RecoveryPolicy::GracefulDegradation,
-        };
-        let out = sup.supervise(&faulted_cfg("slow-gcd:3x:g3"));
-        assert_eq!(out.attempts, 1);
-        assert!(!out.recovered);
-        assert!(out
-            .events
-            .iter()
-            .any(|e| matches!(e, RunEvent::Degraded { .. })));
-    }
-
-    #[test]
-    fn retry_gives_up_on_a_persistent_fault() {
-        let sup = Supervisor {
-            monitor: ProgressMonitor::default(),
-            policy: RecoveryPolicy::RetryWithBackoff {
-                max_retries: 2,
-                backoff: 60.0,
-            },
-        };
-        let out = sup.supervise(&faulted_cfg("slow-gcd:3x:g3"));
-        assert!(!out.recovered);
-        assert_eq!(out.attempts, 3);
-        assert!(out
-            .events
-            .iter()
-            .any(|e| matches!(e, RunEvent::GaveUp { .. })));
-        // Backoff is charged: 60 + 120.
-        assert!(out.total_cost > 180.0);
-    }
-
     fn ckpt_cfg(dir: &std::path::Path, spec: Option<&str>) -> RunConfig {
         let grid = ProcessGrid::col_major(2, 2, 4);
         let mut bld = RunConfig::timing(testbed(1, 4), grid, 2048, 128)
@@ -864,6 +664,54 @@ mod tests {
             bld = bld.faults(FaultPlan::new().parse_spec(s, 0).unwrap());
         }
         bld.build().unwrap()
+    }
+
+    /// Pins the alert-index convention. At a checkpoint boundary `k` the
+    /// drain applies iteration `k`'s trailing update at iteration `k`'s
+    /// device speed but books it into the record of the iteration it
+    /// closes, `k - 1` — so a fault switching on exactly at a boundary
+    /// raises its first alert one index early. That is booking, not
+    /// look-ahead and not an off-by-one in the fault onset: off a boundary
+    /// (or without checkpoints) the first alert names the onset itself.
+    #[test]
+    fn first_alert_at_a_checkpoint_boundary_names_the_drained_record() {
+        let first_alert = |interval: Option<usize>, spec: Option<&str>| {
+            let dir = std::env::temp_dir().join(format!(
+                "hplai-sup-alert-{}-{interval:?}",
+                std::process::id()
+            ));
+            std::fs::remove_dir_all(&dir).ok();
+            let grid = ProcessGrid::col_major(2, 2, 4);
+            let mut bld = RunConfig::timing(testbed(1, 4), grid, 2048, 128);
+            if let Some(i) = interval {
+                bld = bld.checkpoint(crate::checkpoint::CheckpointSpec::new(&dir, i));
+            }
+            if let Some(s) = spec {
+                bld = bld.faults(FaultPlan::new().parse_spec(s, 0).unwrap());
+            }
+            let out = Supervisor::reporting().supervise(&bld.build().unwrap());
+            std::fs::remove_dir_all(&dir).ok();
+            out.events.into_iter().find_map(|e| match e {
+                RunEvent::Alert {
+                    rank, k, component, ..
+                } => Some((rank, k, component)),
+                _ => None,
+            })
+        };
+        // The drain alone never trips the monitor on a healthy run.
+        assert_eq!(first_alert(Some(4), None), None);
+        assert_eq!(
+            first_alert(None, Some("degrade:4x:k8:g3")),
+            Some((3, 8, "gemm"))
+        );
+        assert_eq!(
+            first_alert(Some(8), Some("degrade:4x:k12:g3")),
+            Some((3, 12, "gemm"))
+        );
+        assert_eq!(
+            first_alert(Some(4), Some("degrade:4x:k8:g3")),
+            Some((3, 7, "gemm"))
+        );
     }
 
     #[test]

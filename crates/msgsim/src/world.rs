@@ -808,9 +808,13 @@ mod tests {
         broken
             .faults
             .push(LinkFault::bandwidth_collapse(LinkScope::From(0), 10.0));
+        // Rank 1 takes the message: exiting with it unmatched lets the
+        // thread backend drop rank 1's inbox while rank 0 still sends.
         let job = |mut c: Comm<()>| {
             if c.rank() == 0 {
                 c.send(1, 1, (), 64 << 20);
+            } else {
+                c.recv(0, 1);
             }
             c.now()
         };

@@ -107,3 +107,102 @@ mod determinism {
         }
     }
 }
+
+mod cost {
+    use super::*;
+    use hplai_core::CheckpointSpec;
+    use proptest::prelude::*;
+    use proptest::sample::select;
+    use proptest::test_runner::TestCaseError;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// Supervises one incident on a checkpoint-configured 2×2 timing run
+    /// (16 panels) and checks the cost ledger against the clocks: a
+    /// recovered campaign can never cost less than the same configuration
+    /// with no fault, and monitoring alone never charges more than the
+    /// attempt it watched. `resume` picks the rerun: 0 from scratch, 1
+    /// from the checkpoint, 2 elastic.
+    fn check_incident(
+        spec: &str,
+        interval: Option<usize>,
+        resume: usize,
+    ) -> Result<(), TestCaseError> {
+        static CASE: AtomicUsize = AtomicUsize::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "hplai-cost-prop-{}-{}",
+            std::process::id(),
+            CASE.fetch_add(1, Ordering::Relaxed)
+        ));
+        let build = |faults: FaultPlan| {
+            let grid = ProcessGrid::col_major(2, 2, 4);
+            let mut b = RunConfig::timing(testbed(1, 4), grid, 2048, 128).faults(faults);
+            if let Some(i) = interval {
+                b = b.checkpoint(CheckpointSpec::new(&dir, i));
+            }
+            b.build().expect("valid test config")
+        };
+        let cfg = build(FaultPlan::new().parse_spec(spec, 0).unwrap());
+        let sup = match resume {
+            0 => Supervisor::with_rerun(1.15, 2),
+            r => Supervisor::with_restart(1.15, 2, r == 2),
+        };
+        std::fs::remove_dir_all(&dir).ok();
+        let campaign = sup.supervise(&cfg);
+        std::fs::remove_dir_all(&dir).ok();
+        let report = Supervisor::reporting().supervise(&cfg);
+        std::fs::remove_dir_all(&dir).ok();
+        let free = run(&build(FaultPlan::new()));
+        std::fs::remove_dir_all(&dir).ok();
+
+        let label = format!("{spec} interval {interval:?} resume {resume}");
+        if campaign.recovered {
+            prop_assert!(
+                campaign.total_cost >= free.perf.runtime,
+                "{label}: campaign cost {} < fault-free runtime {}; events {:?}",
+                campaign.total_cost,
+                free.perf.runtime,
+                campaign.events
+            );
+        }
+        prop_assert!(
+            report.total_cost <= report.outcome.perf.runtime,
+            "{label}: monitoring charged {} > the attempt's runtime {}",
+            report.total_cost,
+            report.outcome.perf.runtime
+        );
+        Ok(())
+    }
+
+    fn spec(kind: usize, onset: usize) -> String {
+        match kind {
+            0 => "slow-gcd:3x:g3".to_string(),
+            1 => format!("degrade:4x:k{onset}:g3"),
+            2 => format!("thermal:0.8:k{onset}:g3"),
+            _ => format!("fail:k{onset}:g3"),
+        }
+    }
+
+    /// The incident that exposed an undercharged restart: a checkpoint
+    /// every 2 panels and a fault at panel 12.
+    #[test]
+    fn restart_at_interval_2_onset_12_costs_at_least_the_fault_free_run() {
+        for resume in 0..3 {
+            check_incident(&spec(1, 12), Some(2), resume).unwrap();
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Fault kind × onset × checkpoint interval × resume mode.
+        #[test]
+        fn recovery_never_costs_less_than_the_fault_free_run(
+            kind in 0usize..4,
+            onset in 0usize..16,
+            interval in select(vec![None, Some(2), Some(4), Some(8)]),
+            resume in 0usize..3,
+        ) {
+            check_incident(&spec(kind, onset), interval, resume)?;
+        }
+    }
+}
